@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/particle"
@@ -110,28 +109,23 @@ func RunDomains(cfg Config, domains int) (*Result, *DomainStats, error) {
 		}
 		// Each domain worker advances exactly its own particles —
 		// the rank-local work of an MPI decomposition.
-		var wg sync.WaitGroup
-		wg.Add(domains)
-		for d := 0; d < domains; d++ {
-			go func(d int) {
-				defer wg.Done()
-				ws := r.workers[d]
-				t0 := time.Now()
-				var p particle.Particle
-				for i := 0; i < cfg.Particles; i++ {
-					if owner[i] != d || r.bank.StatusOf(i) != particle.Alive {
-						continue
-					}
-					r.bank.Load(i, &p)
-					r.history(ws, &p)
-					r.bank.Store(i, &p)
+		r.workTeam().run(domains, func(d int) {
+			ws := r.workers[d]
+			t0 := time.Now()
+			var p particle.Particle
+			for i := 0; i < cfg.Particles; i++ {
+				if owner[i] != d || r.bank.StatusOf(i) != particle.Alive {
+					continue
 				}
-				busy := time.Since(t0)
-				ws.busy += busy
-				stats.Busy[d] += busy
-			}(d)
-		}
-		wg.Wait()
+				r.bank.Load(i, &p)
+				r.history(ws, &p)
+				r.bank.Store(i, &p)
+			}
+			busy := time.Since(t0)
+			ws.busy += busy
+			stats.Busy[d] += busy
+		})
+		r.endTeam()
 
 		// Census exchange: re-own particles by their final strip. Only
 		// histories still in the simulation can migrate: dead particles

@@ -22,28 +22,32 @@ var oeSchedule = Schedule{Kind: ScheduleStatic}
 // iterates exactly the particles it applies to — stream compaction in the
 // sense of the event-based GPU transport codes (MC/DC; Tramm et al. 2024).
 //
-// All bucket builds are deterministic: the static schedule assigns each
-// worker one contiguous segment of the iterated list, the worker appends
-// matches in segment order into a shadow region starting at its segment
-// offset (a worker can never produce more entries than its segment holds),
-// and packSegments compacts the regions in worker order. A list that starts
-// sorted therefore stays sorted, and the whole round structure is a pure
-// function of the bank state — which is what keeps stepwise/snapshot runs
-// bit-identical to uninterrupted ones.
+// The buckets are owner-computes: the event kernel assigns worker w one
+// contiguous segment [segLo[w], segLo[w]+len) of the active list, and w
+// gathers its collision, facet and census entries into its own shadow
+// region of each bucket, starting at segLo[w] (a worker can never produce
+// more entries than its segment holds). The collision and facet kernels of
+// the round then process exactly that region on the same worker — the team
+// member whose core already holds those particle records — and write w's
+// survivors followed by w's facet particles into w's region of next. The
+// only cross-worker copies per round are packing next and the census list
+// in worker order. Every bucket is a pure function of the bank state and the
+// worker count, which is itself a function of the active count, so
+// stepwise/snapshot runs stay bit-identical to uninterrupted ones.
 type oeState struct {
-	active []int32 // active slot indices for the current round (sorted)
-	next   []int32 // next round's active list (double buffer / K2 shadow)
+	active []int32 // active slot indices for the current round
+	next   []int32 // next round's active list (double buffer / shadow)
 	coll   []int32 // collision bucket for the round
 	facet  []int32 // facet bucket for the round
 	facetG []uint8 // facet geometry aligned with facet: axis<<1 | (dir>0)
 	census []int32 // slots that reached census this step (grows per round)
 
-	// Per-worker segment bookkeeping for the gather kernels.
-	segLo  []int32
+	// Per-worker region bookkeeping for the round.
+	segLo  []int32 // start of the worker's segment and bucket regions
 	nColl  []int32
 	nFacet []int32
 	nCens  []int32
-	nKeep  []int32
+	nNext  []int32 // the worker's entries in next: survivors, then facets
 }
 
 // ensureOE sizes the compaction scratch for the current bank and worker
@@ -72,7 +76,7 @@ func (r *run) ensureOE() {
 		sc.nColl = make([]int32, threads)
 		sc.nFacet = make([]int32, threads)
 		sc.nCens = make([]int32, threads)
-		sc.nKeep = make([]int32, threads)
+		sc.nNext = make([]int32, threads)
 	}
 	if cap(r.speedCache) < n {
 		r.speedCache = make([]float64, n)
@@ -93,11 +97,12 @@ func (r *run) ensureOE() {
 // cycles), near enough to stay inside the round's working set.
 const prefetchAhead = 8
 
-// oeWorkers caps a kernel's worker count by the work available: a tail
+// oeWorkers caps a round's worker count by the work available: a tail
 // round carrying a few dozen in-flight particles runs on one or two workers
-// instead of paying a full fork-join for sub-chunk segments. The count is a
-// pure function of the iteration length, so bucket builds stay
-// deterministic.
+// instead of paying a full team launch for sub-chunk segments. The count is
+// a pure function of the active count, so bucket builds stay deterministic,
+// and the round's collision and facet kernels reuse it so that each worker
+// finds its own bucket regions.
 func oeWorkers(threads, n int) int {
 	const grain = 256 // minimum slots that justify another worker
 	if w := (n + grain - 1) / grain; w < threads {
@@ -131,6 +136,15 @@ func packSegments(buf []int32, base int, segLo, counts []int32) int {
 	return n
 }
 
+// sumCounts totals per-worker bucket counts.
+func sumCounts(counts []int32) int {
+	n := 0
+	for _, c := range counts {
+		n += int(c)
+	}
+	return n
+}
+
 // stepOverEvents runs one timestep with the Over Events scheme (paper §V-B,
 // Listing 2): rounds of tight kernels. Nothing is cached in registers across
 // kernels — all state lives in the particle store — and every kernel ends in
@@ -153,21 +167,23 @@ func packSegments(buf []int32, base int, segLo, counts []int32) int {
 //     (the separate tally loop of §VI-G — a vectorisation workaround a
 //     scalar backend does not need), then cross the facet or reflect.
 //
-// The next round's active list is the collision survivors followed by the
-// facet particles. After the last round a census kernel flushes every
-// particle that reached census.
+// Kernels 2 and 3 are owner-computes: worker w handles the bucket entries
+// it gathered in kernel 1 (see oeState). The next round's active list is,
+// worker by worker, w's collision survivors followed by w's facet
+// particles. After the last round a census kernel flushes every particle
+// that reached census.
 func (r *run) stepOverEvents(res *Result) {
 	r.ensureOE() // the bank may have grown since the last step
 	sc := r.oe
 	threads := r.cfg.Threads
 	bankN := uint64(r.bank.Len())
 	// Hoisted: only a mesh with vacuum edges can retire facet particles,
-	// so all-reflective scenes skip the survivor bookkeeping and keep the
+	// so all-reflective scenes skip the escape handling and keep the
 	// inlined reflective facet handler.
 	canLeak := r.canLeak
 
 	// One status sweep builds the step's initial active set; every later
-	// round compacts it in place from the event buckets.
+	// round compacts it from the event buckets.
 	sc.active = r.bank.GatherStatus(sc.active[:0], particle.Alive)
 	censusLen := 0
 
@@ -177,9 +193,8 @@ func (r *run) stepOverEvents(res *Result) {
 			return
 		}
 		n := len(sc.active)
-		for w := 0; w < threads; w++ {
-			sc.segLo[w], sc.nColl[w], sc.nFacet[w], sc.nCens[w] = 0, 0, 0, 0
-		}
+		nw := oeWorkers(threads, n)
+		tm := r.workTeam()
 
 		// Kernel 1: calculate_time_to_events + determine_next_event,
 		// gathering the handler buckets. The kinematic views load the
@@ -188,9 +203,10 @@ func (r *run) stepOverEvents(res *Result) {
 		// a pure mover never touches.
 		r.regionStart("event-kernel")
 		t0 := time.Now()
-		parallelFor(oeWorkers(threads, n), n, oeSchedule, func(w, lo, hi int) {
+		tm.run(nw, func(w int) {
 			ws := r.workers[w]
 			start := time.Now()
+			lo, hi := w*n/nw, (w+1)*n/nw
 			var scratch particle.Particle
 			var pfSink uint64
 			spd := r.speedCache
@@ -258,28 +274,24 @@ func (r *run) stepOverEvents(res *Result) {
 			}
 			ws.busy += time.Since(start)
 		})
-		nColl := packSegments(sc.coll, 0, sc.segLo, sc.nColl[:threads])
-		nFacet := packSegments(sc.facet, 0, sc.segLo, sc.nFacet[:threads])
-		packGeom(sc.facetG, sc.segLo, sc.nFacet[:threads])
-		censusLen += packSegments(sc.census, censusLen, sc.segLo, sc.nCens[:threads])
+		censusLen += packSegments(sc.census, censusLen, sc.segLo, sc.nCens[:nw])
 		res.Phases.EventKernel += time.Since(t0)
 		r.regionEnd("event-kernel")
 
 		// Kernel 2: handle_collision for every colliding particle.
-		// Survivors are gathered into the next-round shadow; deaths
-		// retire here.
+		// Survivors are gathered into the worker's region of next;
+		// deaths retire here.
 		r.regionStart("collision-kernel")
 		t0 = time.Now()
-		for w := 0; w < threads; w++ {
-			sc.segLo[w], sc.nKeep[w] = 0, 0
-		}
-		parallelFor(oeWorkers(threads, nColl), nColl, oeSchedule, func(w, lo, hi int) {
+		collide := func(w int) {
 			ws := r.workers[w]
 			start := time.Now()
+			lo := int(sc.segLo[w])
+			bucket := sc.coll[lo : lo+int(sc.nColl[w])]
 			var p particle.Particle
 			nk, died := 0, 0
-			for k := lo; k < hi; k++ {
-				i := int(sc.coll[k])
+			for _, slot := range bucket {
+				i := int(slot)
 				r.bank.Load(i, &p)
 				s := p.Stream(r.cfg.Seed)
 				ws.c.CollisionEvents++
@@ -298,20 +310,24 @@ func (r *run) stepOverEvents(res *Result) {
 					// them up (nothing stays in registers).
 					p.CachedSigmaA = -1
 					p.CachedSigmaS = -1
-					sc.next[lo+nk] = int32(i)
+					sc.next[lo+nk] = slot
 					nk++
 				}
 				p.SaveStream(&s)
 				r.bank.Store(i, &p)
 			}
-			sc.segLo[w], sc.nKeep[w] = int32(lo), int32(nk)
-			ws.c.OEActiveVisits += uint64(hi - lo)
+			sc.nNext[w] = int32(nk)
+			ws.c.OEActiveVisits += uint64(len(bucket))
 			if died > 0 {
 				r.done.Add(int64(died))
 			}
 			ws.busy += time.Since(start)
-		})
-		nSurv := packSegments(sc.next, 0, sc.segLo, sc.nKeep[:threads])
+		}
+		if sumCounts(sc.nColl[:nw]) > 0 {
+			tm.run(nw, collide)
+		} else {
+			clear(sc.nNext[:nw])
+		}
 		res.Phases.CollisionKernel += time.Since(t0)
 		r.regionEnd("collision-kernel")
 
@@ -326,24 +342,28 @@ func (r *run) stepOverEvents(res *Result) {
 		// the facet bucket. Per-particle order is unchanged (flush,
 		// then move), so the fusion is invisible to the physics.
 		//
-		// On a mesh with vacuum edges, survivors are compacted in place
-		// within each worker's segment (escaped slots drop out of the
-		// round like collision deaths do), keeping the next active list
-		// sorted. An all-reflective mesh cannot escape anything, so the
-		// compaction bookkeeping — a survivor store per facet particle —
-		// is skipped and the whole bucket survives, exactly the paper
-		// hot path. The flush time is attributed to FacetKernel;
-		// TallyKernel times the census flush pass.
+		// Each worker appends its facet particles to its region of next
+		// behind its collision survivors. On a mesh with vacuum edges,
+		// escaped slots drop out of the round like collision deaths do;
+		// an all-reflective mesh cannot escape anything, so it keeps
+		// the inlined reflective handler and the whole bucket survives,
+		// exactly the paper hot path. The flush time is attributed to
+		// FacetKernel; TallyKernel times the census flush pass.
 		r.regionStart("facet-kernel")
 		t0 = time.Now()
+		var cross func(w int)
 		if !canLeak {
-			parallelFor(oeWorkers(threads, nFacet), nFacet, oeSchedule, func(w, lo, hi int) {
+			cross = func(w int) {
 				ws := r.workers[w]
 				start := time.Now()
-				for k := lo; k < hi; k++ {
-					i := int(sc.facet[k])
+				lo := int(sc.segLo[w])
+				nf := int(sc.nFacet[w])
+				bucket, geom := sc.facet[lo:lo+nf], sc.facetG[lo:lo+nf]
+				out := sc.next[lo+int(sc.nNext[w]) : lo+int(sc.nNext[w])+nf]
+				for j, slot := range bucket {
+					i := int(slot)
 					ws.c.FacetEvents++
-					g := sc.facetG[k]
+					g := geom[j]
 					axis := int(g >> 1)
 					dir := -1
 					if g&1 != 0 {
@@ -367,22 +387,25 @@ func (r *run) stepOverEvents(res *Result) {
 							ws.c.Reflections++
 						}
 					}
+					out[j] = slot
 				}
-				ws.c.OEActiveVisits += uint64(hi - lo)
+				sc.nNext[w] += int32(nf)
+				ws.c.OEActiveVisits += uint64(nf)
 				ws.busy += time.Since(start)
-			})
-		} else {
-			for w := 0; w < threads; w++ {
-				sc.segLo[w], sc.nKeep[w] = 0, 0
 			}
-			parallelFor(oeWorkers(threads, nFacet), nFacet, oeSchedule, func(w, lo, hi int) {
+		} else {
+			cross = func(w int) {
 				ws := r.workers[w]
 				start := time.Now()
-				nk, escaped := 0, 0
-				for k := lo; k < hi; k++ {
-					i := int(sc.facet[k])
+				lo := int(sc.segLo[w])
+				nf := int(sc.nFacet[w])
+				bucket, geom := sc.facet[lo:lo+nf], sc.facetG[lo:lo+nf]
+				out := sc.next[lo+int(sc.nNext[w]) : lo+int(sc.nNext[w])+nf]
+				nk := 0
+				for j, slot := range bucket {
+					i := int(slot)
 					ws.c.FacetEvents++
-					g := sc.facetG[k]
+					g := geom[j]
 					axis := int(g >> 1)
 					dir := -1
 					if g&1 != 0 {
@@ -409,20 +432,21 @@ func (r *run) stepOverEvents(res *Result) {
 						wgt, we := r.bank.Escape(i)
 						ws.leak.Weight[edge] += wgt
 						ws.leak.Energy[edge] += we
-						escaped++
 						continue // retired: not a survivor
 					}
-					sc.facet[lo+nk] = int32(i)
+					out[nk] = slot
 					nk++
 				}
-				sc.segLo[w], sc.nKeep[w] = int32(lo), int32(nk)
-				ws.c.OEActiveVisits += uint64(hi - lo)
-				if escaped > 0 {
+				sc.nNext[w] += int32(nk)
+				ws.c.OEActiveVisits += uint64(nf)
+				if escaped := nf - nk; escaped > 0 {
 					r.done.Add(int64(escaped))
 				}
 				ws.busy += time.Since(start)
-			})
-			nFacet = packSegments(sc.facet, 0, sc.segLo, sc.nKeep[:threads])
+			}
+		}
+		if sumCounts(sc.nFacet[:nw]) > 0 {
+			tm.run(nw, cross)
 		}
 		res.Phases.FacetKernel += time.Since(t0)
 		r.regionEnd("facet-kernel")
@@ -432,13 +456,14 @@ func (r *run) stepOverEvents(res *Result) {
 		// kernels (see Counters.OESlotSweeps).
 		r.workers[0].c.OESlotSweeps += 4 * bankN
 
-		// Compact the active set: collision survivors then facet
-		// particles, both sorted, so the list stays two ordered runs
-		// and bank access stays near-sequential.
-		copy(sc.next[nSurv:nSurv+nFacet], sc.facet[:nFacet])
+		// Swap in the next active list, packed in worker order. Each
+		// worker's entries keep their kernel-1 order, so with one worker
+		// the list is the ordered survivors followed by the ordered
+		// facet particles and bank access stays near-sequential.
+		nNext := packSegments(sc.next, 0, sc.segLo, sc.nNext[:nw])
 		full := sc.next[:cap(sc.next)]
 		sc.next = sc.active[:cap(sc.active)]
-		sc.active = full[:nSurv+nFacet]
+		sc.active = full[:nNext]
 	}
 
 	// Census kernel: flush everything that reached census this step. The
@@ -446,7 +471,7 @@ func (r *run) stepOverEvents(res *Result) {
 	// retiring particles instead of sweeping the bank.
 	r.regionStart("tally-kernel")
 	t0 := time.Now()
-	parallelFor(oeWorkers(threads, censusLen), censusLen, oeSchedule, func(w, lo, hi int) {
+	r.workTeam().parallelFor(oeWorkers(threads, censusLen), censusLen, oeSchedule, func(w, lo, hi int) {
 		ws := r.workers[w]
 		start := time.Now()
 		for k := lo; k < hi; k++ {
@@ -459,21 +484,4 @@ func (r *run) stepOverEvents(res *Result) {
 	r.regionEnd("tally-kernel")
 	// The naive scheme's census sweep visits the whole bank once per step.
 	r.workers[0].c.OESlotSweeps += bankN
-}
-
-// packGeom mirrors packSegments for the geometry bytes that ride alongside
-// the facet bucket.
-func packGeom(buf []uint8, segLo, counts []int32) {
-	n := 0
-	for w := range counts {
-		c := int(counts[w])
-		if c == 0 {
-			continue
-		}
-		src := int(segLo[w])
-		if n != src {
-			copy(buf[n:n+c], buf[src:src+c])
-		}
-		n += c
-	}
 }

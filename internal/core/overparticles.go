@@ -18,7 +18,7 @@ import (
 func (r *run) stepOverParticles(res *Result) {
 	r.regionStart("fused")
 	t0 := time.Now()
-	parallelFor(r.cfg.Threads, r.bank.Len(), r.cfg.Schedule, func(w, lo, hi int) {
+	r.workTeam().parallelFor(r.cfg.Threads, r.bank.Len(), r.cfg.Schedule, func(w, lo, hi int) {
 		ws := r.workers[w]
 		start := time.Now()
 		var p particle.Particle

@@ -36,18 +36,28 @@ func (p *recordingProbe) EndRegion(name string) {
 
 // TestRegionProbeCoverage runs each scheme with every optional phase enabled
 // and checks the probe observes exactly the phases the timing accumulators
-// report, under their canonical names.
+// report, under their canonical names. The Threads=2 cases run the kernels
+// on a worker team; the probe still sees only the solver goroutine's
+// paired, unnested regions (recordingProbe is unsynchronised, so a call
+// from a team member would also show up under -race).
 func TestRegionProbeCoverage(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		scheme Scheme
-		expect []string
+		name    string
+		scheme  Scheme
+		threads int
+		expect  []string
 	}{
-		{"over-particles", OverParticles, []string{"fused", "control", "sort", "merge"}},
-		{"over-events", OverEvents, []string{"event-kernel", "collision-kernel", "facet-kernel", "tally-kernel", "control", "sort", "merge"}},
+		{"over-particles", OverParticles, 1, []string{"fused", "control", "sort", "merge"}},
+		{"over-events", OverEvents, 1, []string{"event-kernel", "collision-kernel", "facet-kernel", "tally-kernel", "control", "sort", "merge"}},
+		{"over-particles/threads=2", OverParticles, 2, []string{"fused", "control", "sort", "merge"}},
+		{"over-events/threads=2", OverEvents, 2, []string{"event-kernel", "collision-kernel", "facet-kernel", "tally-kernel", "control", "sort", "merge"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := goldenConfig(mesh.CSP)
+			cfg.Threads = tc.threads
+			if tc.threads > 1 {
+				cfg.Particles = 600 // enough for two-worker rounds
+			}
 			cfg.Scheme = tc.scheme
 			cfg.SortEvery = 1
 			cfg.Tally = tally.ModePrivate

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // ScheduleKind mirrors the OpenMP schedule clauses the paper sweeps in
 // Fig 4. The particle histories vary in length, so the choice trades
@@ -93,100 +89,4 @@ func (s Schedule) validate() error {
 	default:
 		return fmt.Errorf("core: unknown schedule kind %d", int(s.Kind))
 	}
-}
-
-// parallelFor runs body over [0, n) split across workers per the schedule.
-// body receives the worker index and a half-open range. It is the
-// goroutine equivalent of `#pragma omp parallel for schedule(...)`.
-func parallelFor(workers, n int, sched Schedule, body func(worker, lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 1 {
-		body(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	switch sched.Kind {
-	case ScheduleStatic:
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				lo := w * n / workers
-				hi := (w + 1) * n / workers
-				if lo < hi {
-					body(w, lo, hi)
-				}
-			}(w)
-		}
-	case ScheduleStaticChunk:
-		chunk := sched.chunk()
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for lo := w * chunk; lo < n; lo += workers * chunk {
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					body(w, lo, hi)
-				}
-			}(w)
-		}
-	case ScheduleDynamic:
-		chunk := sched.chunk()
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for {
-					lo := int(next.Add(int64(chunk))) - chunk
-					if lo >= n {
-						return
-					}
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					body(w, lo, hi)
-				}
-			}(w)
-		}
-	case ScheduleGuided:
-		minChunk := sched.chunk()
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for {
-					// Claim a chunk proportional to the work
-					// remaining at claim time, floored at the
-					// minimum chunk, via CAS on the cursor.
-					for {
-						lo := next.Load()
-						if int(lo) >= n {
-							return
-						}
-						remaining := n - int(lo)
-						size := remaining / workers
-						if size < minChunk {
-							size = minChunk
-						}
-						hi := int(lo) + size
-						if hi > n {
-							hi = n
-						}
-						if next.CompareAndSwap(lo, int64(hi)) {
-							body(w, int(lo), hi)
-							break
-						}
-					}
-				}
-			}(w)
-		}
-	default:
-		panic("core: unreachable schedule kind")
-	}
-	wg.Wait()
 }

@@ -5,18 +5,21 @@ import (
 	"testing"
 )
 
-// TestParallelForCoverage verifies that every schedule kind visits every
-// index exactly once, for a grid of worker counts, chunk sizes and problem
-// sizes — the fundamental contract of the work distribution.
-func TestParallelForCoverage(t *testing.T) {
+// TestTeamParallelForCoverage verifies that every schedule kind visits
+// every index exactly once, for a grid of worker counts, chunk sizes and
+// problem sizes — the fundamental contract of the work distribution. One
+// team serves every launch of a worker count, as one team serves every
+// launch of a step.
+func TestTeamParallelForCoverage(t *testing.T) {
 	kinds := []ScheduleKind{ScheduleStatic, ScheduleStaticChunk, ScheduleDynamic, ScheduleGuided}
 	for _, kind := range kinds {
 		for _, chunk := range []int{0, 1, 3, 64} {
 			for _, workers := range []int{1, 2, 5, 8} {
+				tm := newTeam(workers)
 				for _, n := range []int{0, 1, 7, 100, 1017} {
 					sched := Schedule{Kind: kind, Chunk: chunk}
 					visits := make([]int32, n)
-					parallelFor(workers, n, sched, func(w, lo, hi int) {
+					tm.parallelFor(workers, n, sched, func(w, lo, hi int) {
 						if w < 0 || w >= workers {
 							t.Errorf("%v: worker id %d out of range", sched, w)
 						}
@@ -31,22 +34,25 @@ func TestParallelForCoverage(t *testing.T) {
 						}
 					}
 				}
+				tm.close()
 			}
 		}
 	}
 }
 
-// TestParallelForDynamicBalances checks that a dynamic schedule spreads a
+// TestTeamParallelForDynamicBalances checks that a dynamic schedule spreads a
 // deliberately skewed workload across more than one worker. Whether a
 // second worker gets scheduled before the queue drains depends on the OS
 // scheduler, so the check retries on an increasingly heavy workload before
 // declaring failure.
-func TestParallelForDynamicBalances(t *testing.T) {
+func TestTeamParallelForDynamicBalances(t *testing.T) {
+	tm := newTeam(4)
+	defer tm.close()
 	n := 100000
 	for attempt := 0; attempt < 5; attempt++ {
 		var perWorker [4]int64
 		var sink atomic.Int64
-		parallelFor(4, n, Schedule{Kind: ScheduleDynamic, Chunk: 10}, func(w, lo, hi int) {
+		tm.parallelFor(4, n, Schedule{Kind: ScheduleDynamic, Chunk: 10}, func(w, lo, hi int) {
 			acc := int64(0)
 			for i := lo; i < hi; i++ {
 				acc += int64(i * i)
@@ -73,13 +79,15 @@ func TestParallelForDynamicBalances(t *testing.T) {
 	t.Error("dynamic schedule never used more than one worker across 5 attempts")
 }
 
-// TestParallelForGuidedChunksShrink checks the guided schedule hands out
-// decreasing chunk sizes, floored at the minimum chunk.
-func TestParallelForGuidedChunksShrink(t *testing.T) {
+// TestTeamParallelForGuidedChunksShrink checks the guided schedule hands
+// out decreasing chunk sizes, floored at the minimum chunk.
+func TestTeamParallelForGuidedChunksShrink(t *testing.T) {
 	const n = 10000
 	const minChunk = 16
 	var mu chunkRecorder
-	parallelFor(4, n, Schedule{Kind: ScheduleGuided, Chunk: minChunk}, func(w, lo, hi int) {
+	tm := newTeam(4)
+	defer tm.close()
+	tm.parallelFor(4, n, Schedule{Kind: ScheduleGuided, Chunk: minChunk}, func(w, lo, hi int) {
 		mu.record(hi - lo)
 	})
 	sizes := mu.sizes()

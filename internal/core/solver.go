@@ -157,6 +157,11 @@ type run struct {
 	// only at (re)build time, so the cache needs no invalidation.
 	ndCache []float64
 
+	// team is the current step's worker team (see team.go): started at
+	// the step's first parallel launch, closed before Step returns, and
+	// always nil at Threads=1 and between steps.
+	team *team
+
 	// probe, when non-nil, observes the timed kernel regions (see
 	// RegionProbe). Nil-guarded at every site: a disabled probe costs one
 	// branch per kernel launch.
@@ -332,8 +337,8 @@ type StepFunc func(*Simulation)
 // while reusing every compatible allocation (mesh, cross-section tables,
 // bank), which is how sweeps amortise setup across points.
 //
-// A Simulation is not safe for concurrent use; it owns goroutine pools
-// internally during Step.
+// A Simulation is not safe for concurrent use; at Threads > 1 each Step
+// runs its kernels on a worker team that lives only for that Step.
 type Simulation struct {
 	r         *run
 	res       *Result
@@ -463,13 +468,8 @@ func (s *Simulation) Step() error {
 		r.sortStep(s.res)
 	}
 	r.step.Store(int64(s.next))
-	switch cfg.Scheme {
-	case OverParticles:
-		r.stepOverParticles(s.res)
-	case OverEvents:
-		r.stepOverEvents(s.res)
-	default:
-		return fmt.Errorf("core: unknown scheme %v", cfg.Scheme)
+	if err := r.stepScheme(s.res); err != nil {
+		return err
 	}
 	if r.stop.Load() {
 		s.res.Wall += time.Since(start)
@@ -492,6 +492,22 @@ func (s *Simulation) Step() error {
 		})
 		s.traceWall = s.res.Wall
 		s.tracePrev = s.res.Phases
+	}
+	return nil
+}
+
+// stepScheme runs one pass of the configured scheme. Every parallel launch
+// in the pass shares one worker team, which is closed on every return path,
+// so no team member outlives the step.
+func (r *run) stepScheme(res *Result) error {
+	defer r.endTeam()
+	switch r.cfg.Scheme {
+	case OverParticles:
+		r.stepOverParticles(res)
+	case OverEvents:
+		r.stepOverEvents(res)
+	default:
+		return fmt.Errorf("core: unknown scheme %v", r.cfg.Scheme)
 	}
 	return nil
 }

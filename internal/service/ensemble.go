@@ -114,9 +114,7 @@ func (e *Engine) runEnsemble(j *Job) {
 		child, err := e.submit(ccfg, nil, SubmitOptions{Tenant: j.tenant})
 		if err != nil {
 			cancelChildren()
-			if j.finish(StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false) {
-				e.failed.Add(1)
-			}
+			j.finish(StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false, func() { e.failed.Add(1) })
 			return
 		}
 		children = append(children, child)
@@ -132,17 +130,13 @@ func (e *Engine) runEnsemble(j *Job) {
 		case <-child.Done():
 		case <-j.ctx.Done():
 			cancelChildren()
-			if j.finish(StateCanceled, nil, j.ctx.Err(), false) {
-				e.canceled.Add(1)
-			}
+			j.finish(StateCanceled, nil, j.ctx.Err(), false, func() { e.canceled.Add(1) })
 			return
 		}
 		res, err := child.Result()
 		if err != nil {
 			cancelChildren()
-			if j.finish(StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false) {
-				e.failed.Add(1)
-			}
+			j.finish(StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false, func() { e.failed.Add(1) })
 			return
 		}
 		acc.Add(res.Cells)
@@ -182,7 +176,5 @@ func (e *Engine) runEnsemble(j *Job) {
 	if j.key != "" {
 		e.cache.PutEntry(j.key, res, ens)
 	}
-	if j.finish(StateDone, res, nil, false) {
-		e.completed.Add(1)
-	}
+	j.finish(StateDone, res, nil, false, func() { e.completed.Add(1) })
 }

@@ -90,6 +90,41 @@ func TestAPIMetricsAfterJob(t *testing.T) {
 	}
 }
 
+// TestMetricsCountedBeforeWait pins the ordering contract between job
+// completion and telemetry: the /metrics exposition written the moment Wait
+// returns already counts the job, its run duration and its solver counters.
+// It scrapes the registry in-process, skipping the HTTP round trip, to keep
+// the race it guards as wide open as possible; run it under -race with a
+// high -count.
+func TestMetricsCountedBeforeWait(t *testing.T) {
+	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
+	v, code := postJob(t, ts, `{"problem":"csp","nx":32,"particles":50,"threads":1,"seed":7}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	j, err := e.Job(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var body strings.Builder
+	if err := e.Registry().WritePrometheus(&body); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`neutral_jobs_completed_total 1`,
+		`neutral_job_duration_seconds_count{scheme="over-particles"} 1`,
+		`neutral_particles_per_second_count{scheme="over-particles"} 1`,
+		`neutral_solver_events_total{kind="census"}`,
+	} {
+		if !strings.Contains(body.String(), want) {
+			t.Errorf("scrape right after Wait is missing %q", want)
+		}
+	}
+}
+
 // TestAPIStreamHeartbeat pins the SSE keepalive: a slow job with no
 // progress movement still produces comment lines on the heartbeat interval.
 func TestAPIStreamHeartbeat(t *testing.T) {

@@ -338,15 +338,17 @@ func (j *Job) setProgress(p core.Progress) {
 }
 
 // finish moves the job to a terminal state exactly once, reporting whether
-// this call won the transition.
-func (j *Job) finish(state State, res *core.Result, err error, cached bool) bool {
+// this call won the transition. observe, when non-nil, runs only for the
+// call that wins, before Wait is released, so a waiter already sees the
+// job in the engine's counters and metrics.
+func (j *Job) finish(state State, res *core.Result, err error, cached bool, observe func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.finishLocked(state, res, err, cached)
+	return j.finishLocked(state, res, err, cached, observe)
 }
 
 // finishLocked is finish with j.mu already held.
-func (j *Job) finishLocked(state State, res *core.Result, err error, cached bool) bool {
+func (j *Job) finishLocked(state State, res *core.Result, err error, cached bool, observe func()) bool {
 	if j.state.Terminal() {
 		return false
 	}
@@ -363,6 +365,9 @@ func (j *Job) finishLocked(state State, res *core.Result, err error, cached bool
 			Done:  1,
 			Total: 1,
 		}
+	}
+	if observe != nil {
+		observe()
 	}
 	close(j.done)
 	// Release the job's context registration on the engine context; a
@@ -633,8 +638,7 @@ func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job,
 			j.mu.Lock()
 			j.ensemble = ens
 			j.mu.Unlock()
-			j.finish(StateDone, res, nil, true)
-			e.completed.Add(1)
+			j.finish(StateDone, res, nil, true, func() { e.completed.Add(1) })
 			e.record(j)
 			return j, nil
 		}
@@ -643,9 +647,10 @@ func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job,
 		// without a solve, exactly like a memory cache hit.
 		if res, ok := e.storedResult(key, cfg); ok {
 			e.cache.Put(key, res)
-			j.finish(StateDone, res, nil, true)
-			e.completed.Add(1)
-			e.metrics.blobResultHits.Inc()
+			j.finish(StateDone, res, nil, true, func() {
+				e.completed.Add(1)
+				e.metrics.blobResultHits.Inc()
+			})
 			e.record(j)
 			return j, nil
 		}
@@ -790,9 +795,7 @@ func (e *Engine) execute(j *Job, reuse **core.Simulation) {
 	// affinity makes this re-check catch every same-key dupe.
 	if j.key != "" {
 		if res, ok := e.cache.Get(j.key); ok {
-			if j.finish(StateDone, res, nil, true) {
-				e.completed.Add(1)
-			}
+			j.finish(StateDone, res, nil, true, func() { e.completed.Add(1) })
 			return
 		}
 	}
@@ -814,19 +817,16 @@ func (e *Engine) execute(j *Job, reuse **core.Simulation) {
 			e.cache.Put(j.key, res)
 			e.persistResult(j, res)
 		}
-		if j.finish(StateDone, res, nil, false) {
+		j.finish(StateDone, res, nil, false, func() {
 			e.completed.Add(1)
-			e.observeRunDuration(time.Since(j.started))
-			e.metrics.observeRun(res, time.Since(j.started))
-		}
+			dur := time.Since(j.started)
+			e.observeRunDuration(dur)
+			e.metrics.observeRun(res, dur)
+		})
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(StateCanceled, nil, err, false) {
-			e.canceled.Add(1)
-		}
+		j.finish(StateCanceled, nil, err, false, func() { e.canceled.Add(1) })
 	default:
-		if j.finish(StateFailed, nil, err, false) {
-			e.failed.Add(1)
-		}
+		j.finish(StateFailed, nil, err, false, func() { e.failed.Add(1) })
 	}
 }
 
@@ -1034,10 +1034,9 @@ func (e *Engine) Cancel(id string) error {
 	// returns — never both.
 	j.mu.Lock()
 	wonQueued := j.state == StateQueued &&
-		j.finishLocked(StateCanceled, nil, context.Canceled, false)
+		j.finishLocked(StateCanceled, nil, context.Canceled, false, func() { e.canceled.Add(1) })
 	j.mu.Unlock()
 	if wonQueued {
-		e.canceled.Add(1)
 		for _, q := range e.shards {
 			if q.Remove(id) {
 				break
@@ -1150,8 +1149,8 @@ func (e *Engine) Close() {
 		j.mu.Lock()
 		terminal := j.state.Terminal()
 		j.mu.Unlock()
-		if !terminal && j.finish(StateCanceled, nil, ErrClosed, false) {
-			e.canceled.Add(1)
+		if !terminal {
+			j.finish(StateCanceled, nil, ErrClosed, false, func() { e.canceled.Add(1) })
 		}
 	}
 }

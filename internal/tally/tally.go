@@ -138,7 +138,10 @@ type Atomic struct {
 	// Conflicts counts CAS retries; it is a direct measure of tally
 	// contention ("the atomic operations conflict less often", §VII-A).
 	conflicts atomic.Uint64
-	scratch   []float64
+	// cells is the float64 view Cells returns, allocated on the first
+	// call: a run that only reads Total never pays a second mesh-sized
+	// array.
+	cells []float64
 	// serial marks a tally with exactly one writer (workers == 1): Add
 	// skips the lock-prefixed CAS for a plain read-modify-write, which
 	// computes the identical sum in the identical order — an uncontended
@@ -149,7 +152,7 @@ type Atomic struct {
 
 // NewAtomic allocates an atomic tally over cells cells.
 func NewAtomic(cells int) *Atomic {
-	return &Atomic{bits: make([]uint64, cells), scratch: make([]float64, cells)}
+	return &Atomic{bits: make([]uint64, cells)}
 }
 
 // Add deposits v into cell with a CAS loop (plain read-modify-write for a
@@ -172,14 +175,24 @@ func (a *Atomic) Add(_, cell int, v float64) {
 
 // Cells returns the per-cell totals.
 func (a *Atomic) Cells() []float64 {
-	for i := range a.bits {
-		a.scratch[i] = math.Float64frombits(atomic.LoadUint64(&a.bits[i]))
+	if a.cells == nil {
+		a.cells = make([]float64, len(a.bits))
 	}
-	return a.scratch
+	for i := range a.bits {
+		a.cells[i] = math.Float64frombits(atomic.LoadUint64(&a.bits[i]))
+	}
+	return a.cells
 }
 
-// Total returns the sum over cells.
-func (a *Atomic) Total() float64 { return sum(a.Cells()) }
+// Total returns the sum over cells, in index order: the same sum, bit for
+// bit, as over Cells.
+func (a *Atomic) Total() float64 {
+	var t float64
+	for i := range a.bits {
+		t += math.Float64frombits(atomic.LoadUint64(&a.bits[i]))
+	}
+	return t
+}
 
 // Conflicts reports the number of CAS retries observed so far.
 func (a *Atomic) Conflicts() uint64 { return a.conflicts.Load() }

@@ -2,6 +2,7 @@ package tally
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -63,6 +64,59 @@ func TestAtomicConcurrentSum(t *testing.T) {
 	// With 16 workers fighting over 8 cells there must be contention.
 	if a.Conflicts() == 0 {
 		t.Log("warning: no CAS conflicts observed (machine may be serialising)")
+	}
+}
+
+// TestAtomicTotalMatchesCells pins Total to the index-order sum over Cells,
+// bit for bit: Total reads the accumulator words directly, without the
+// float64 view.
+func TestAtomicTotalMatchesCells(t *testing.T) {
+	f := func(deposits []float64) bool {
+		const cells = 13
+		a := NewAtomic(cells)
+		for i, d := range deposits {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				continue
+			}
+			a.Add(0, (i*7)%cells, math.Mod(d, 1e6))
+		}
+		total := a.Total()
+		var want float64
+		for _, v := range a.Cells() {
+			want += v
+		}
+		return math.Float64bits(total) == math.Float64bits(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewAtomicAllocatesOnlyAccumulators checks a fresh atomic tally holds
+// ~8 B/cell, its accumulator words, and that the float64 view appears only
+// on the first Cells call.
+func TestNewAtomicAllocatesOnlyAccumulators(t *testing.T) {
+	const cells = 1 << 20
+	allocated := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / cells
+	}
+	var a *Atomic
+	if got := allocated(func() { a = NewAtomic(cells) }); got > 9 {
+		t.Errorf("NewAtomic allocated %.1f B/cell, want ~8", got)
+	}
+	a.Add(0, cells-1, 2)
+	if a.Total() != 2 {
+		t.Errorf("total = %v, want 2", a.Total())
+	}
+	if got := allocated(func() { a.Cells() }); got < 8 {
+		t.Errorf("first Cells allocated %.1f B/cell, want the 8 B/cell view", got)
+	}
+	if got := allocated(func() { a.Cells() }); got > 1 {
+		t.Errorf("repeat Cells allocated %.1f B/cell, want the view reused", got)
 	}
 }
 
